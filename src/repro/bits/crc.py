@@ -11,7 +11,10 @@ scratch:
   - ``bitwise``: the textbook shift-register algorithm, O(l) in the message
     length with a handful of operations per bit.  This is the engine the
     paper's Table IV instruction-count argument is about, so it also counts
-    the operations it performs (see :attr:`CrcEngine.last_op_count`).
+    the operations it performs (see :attr:`CrcEngine.last_op_count`).  The
+    simulator replays the register a byte at a time through two tables,
+    the register update and the XOR count of those eight steps, so the
+    count is the bit-serial one without paying for a Python step per bit.
   - ``table``: byte-at-a-time with a 256-entry lookup table (the "1 KB
     extra memory" of Table IV for a 32-bit CRC).
 
@@ -45,6 +48,7 @@ revisions ship instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,13 +67,20 @@ __all__ = [
 ]
 
 
+#: ``bytes.translate`` table reversing the bit order of every byte.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def reflect(value: int, width: int) -> int:
     """Reverse the low ``width`` bits of ``value``."""
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
+    if width <= 0:
+        return 0
+    value &= (1 << width) - 1
+    if width % 8 == 0:
+        # Whole bytes: reverse the byte order and the bits in each byte.
+        raw = value.to_bytes(width // 8, "little").translate(_REVERSED_BYTES)
+        return int.from_bytes(raw, "big")
+    return int(format(value, f"0{width}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,34 @@ class CrcSpec:
                 raise ValueError(f"{field} does not fit in {self.width} bits")
 
 
+@lru_cache(maxsize=None)
+def _shift_tables(spec: CrcSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Eight shift-register steps as two 256-entry tables (``width >= 8``).
+
+    Over one byte, the feedback bit of every step depends only on
+    ``idx = (register top byte) ^ (data byte)``: the low ``width - 8``
+    register bits reach the top only after the eighth step.  So
+    ``update[idx]`` is the register that eight steps push out of
+    ``idx << (width - 8)``, XORed into the shifted-up low bits, and
+    ``xors[idx]`` counts the polynomial XORs those steps performed.
+    """
+    mask = (1 << spec.width) - 1
+    top = spec.width - 1
+    update, xors = [], []
+    for idx in range(256):
+        reg = idx << (spec.width - 8)
+        count = 0
+        for _ in range(8):
+            feedback = reg >> top
+            reg = (reg << 1) & mask
+            if feedback:
+                reg ^= spec.poly
+                count += 1
+        update.append(reg)
+        xors.append(count)
+    return tuple(update), tuple(xors)
+
+
 CRC5_EPC = CrcSpec("CRC-5/EPC-C1G2", 5, 0x09, 0x09, False, False, 0x00, 0x00)
 CRC16_CCITT_FALSE = CrcSpec(
     "CRC-16/CCITT-FALSE", 16, 0x1021, 0xFFFF, False, False, 0x0000, 0x29B1
@@ -143,6 +182,13 @@ class CrcEngine:
         ``"table"`` (byte-wise lookup; requires bit lengths divisible by 8
         unless ``refin`` is False, in which case trailing bits fall back to
         the bitwise path).
+
+    The op count does not force bit-serial work: within one byte every
+    feedback bit is a function of the register's top byte XOR the data
+    byte, so the ``bitwise`` method steps whole bytes through tables that
+    also record how many polynomial XORs the eight steps made.  Only
+    trailing non-byte bits and registers narrower than a byte (CRC-5)
+    take the bit loop.
     """
 
     def __init__(self, spec: CrcSpec, method: str = "bitwise") -> None:
@@ -153,8 +199,8 @@ class CrcEngine:
         self.spec = spec
         self.method = method
         self._mask = (1 << spec.width) - 1
-        self._top = 1 << (spec.width - 1)
         self._table: np.ndarray | None = None
+        self._shift_tables = _shift_tables(spec) if spec.width >= 8 else None
         #: Number of primitive shift/xor operations performed by the most
         #: recent :meth:`compute_bits` call (bitwise method only).  Backs the
         #: Table IV instruction-count comparison.
@@ -167,23 +213,16 @@ class CrcEngine:
     # ------------------------------------------------------------------
 
     def _build_table(self) -> np.ndarray:
-        """The classic 256-entry byte table (1 KB of uint32 for CRC-32)."""
-        spec = self.spec
-        table = np.zeros(256, dtype=np.uint64)
-        for byte in range(256):
-            if spec.refin:
-                reg = reflect(byte, 8) << (spec.width - 8) if spec.width >= 8 else 0
-            else:
-                reg = byte << (spec.width - 8) if spec.width >= 8 else 0
-            for _ in range(8):
-                if reg & self._top:
-                    reg = ((reg << 1) ^ spec.poly) & self._mask
-                else:
-                    reg = (reg << 1) & self._mask
-            if spec.refin:
-                reg = reflect(reg, spec.width)
-            table[byte] = reg
-        return table
+        """The classic 256-entry byte table (1 KB of uint32 for CRC-32).
+
+        Its entries are the register updates of :func:`_shift_tables`;
+        with reflected input they live in the reflected domain.
+        """
+        update, _ = _shift_tables(self.spec)
+        if self.spec.refin:
+            width = self.spec.width
+            update = [reflect(update[reflect(b, 8)], width) for b in range(256)]
+        return np.array(update, dtype=np.uint64)
 
     @property
     def table_memory_bytes(self) -> int:
@@ -211,35 +250,53 @@ class CrcEngine:
         return self._compute_bitwise(BitVector.from_bytes(data))
 
     def _compute_bitwise(self, bits: BitVector) -> int:
+        """The shift-register CRC, replayed a byte at a time.
+
+        Each whole byte goes through :func:`_shift_tables`, built once per
+        spec: one lookup for the register after eight shift steps and one
+        for the number of polynomial XORs those steps performed, so
+        ``last_op_count`` equals the bit-serial count (two operations per
+        bit plus one per XOR).  Reflected input feeds each whole byte
+        LSB-first, which is the byte-reversed byte MSB-first.  Trailing
+        non-byte bits and registers narrower than a byte take the bit loop.
+        """
         spec = self.spec
+        width = spec.width
+        mask = self._mask
+        length = bits.length
+        value = bits.value
         reg = spec.init
-        ops = 0
-        if spec.refin:
-            # Reflected input: process each byte LSB-first.  For bit strings
-            # whose length is not a multiple of 8 we process bit-by-bit in
-            # transmission order after per-byte reflection of whole bytes.
-            stream = self._reflected_bit_stream(bits)
-        else:
-            stream = iter(bits)
-        for bit in stream:
-            top = (reg >> (spec.width - 1)) & 1
-            reg = ((reg << 1) & self._mask) | 0
-            if top ^ bit:
-                reg ^= spec.poly
-                ops += 1
-            ops += 2  # shift + compare
+        ops = 2 * length
+        n_bytes = length >> 3 if width >= 8 else 0
+        if n_bytes:
+            update, xors = self._shift_tables
+            shift = width - 8
+            data = (value >> (length - 8 * n_bytes)).to_bytes(n_bytes, "big")
+            if spec.refin:
+                data = data.translate(_REVERSED_BYTES)
+            for byte in data:
+                idx = (reg >> shift) ^ byte
+                reg = ((reg << 8) & mask) ^ update[idx]
+                ops += xors[idx]
+        # Leftover bits in transmission-order chunks of at most a byte;
+        # reflected input reverses each chunk, a trailing partial one too.
+        top = width - 1
+        poly = spec.poly
+        for start in range(8 * n_bytes, length, 8):
+            size = min(8, length - start)
+            chunk = (value >> (length - start - size)) & ((1 << size) - 1)
+            if spec.refin:
+                chunk = reflect(chunk, size)
+            for k in range(size - 1, -1, -1):
+                feedback = (reg >> top) ^ ((chunk >> k) & 1)
+                reg = (reg << 1) & mask
+                if feedback:
+                    reg ^= poly
+                    ops += 1
         if spec.refout:
-            reg = reflect(reg, spec.width)
+            reg = reflect(reg, width)
         self.last_op_count = ops
         return (reg ^ spec.xorout) & self._mask
-
-    @staticmethod
-    def _reflected_bit_stream(bits: BitVector):
-        """Yield bits with each whole byte reversed (refin semantics)."""
-        raw = bits.to_bits()
-        for i in range(0, len(raw), 8):
-            chunk = raw[i : i + 8]
-            yield from reversed(chunk)
 
     def _compute_table(self, data: bytes) -> int:
         spec = self.spec

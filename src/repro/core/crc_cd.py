@@ -63,8 +63,8 @@ class CRCCDDetector(CollisionDetector):
             if self.id_bits + self.engine.spec.width <= 64
             else None
         )
-        # A tag's payload is a pure function of its ID, so the packed path
-        # memoizes (value, crc_op_count) per ID and replays the op count
+        # A tag's payload is a pure function of its ID, so both paths
+        # memoize (value, crc_op_count) per ID and replay the op count
         # into the counters on every transmission -- identical Table IV
         # accounting without recomputing the CRC each slot.
         self._payload_memo: dict[int, tuple[int, int]] = {}
@@ -85,11 +85,9 @@ class CRCCDDetector(CollisionDetector):
     def contention_payload(self, tag_id: int, rng: RngStream) -> BitVector:
         """``id ⊕ crc(id)``.  The tag-side CRC computation is also counted
         (the paper's point is precisely that *tags* must run CRC)."""
-        id_vec = BitVector(tag_id, self.id_bits)
-        crc = self.engine.compute_bits(id_vec)
-        self.crc_computations += 1
-        self.crc_ops_total += self.engine.last_op_count
-        return id_vec + crc
+        return BitVector(
+            self.contention_payload_packed(tag_id, rng), self.contention_bits
+        )
 
     def classify(self, signal: BitVector | None) -> SlotOutcome:
         self.classify_calls += 1
@@ -109,14 +107,14 @@ class CRCCDDetector(CollisionDetector):
         return SlotOutcome(SlotType.COLLIDED)
 
     def contention_payload_packed(self, tag_id: int, rng: RngStream) -> int:
-        """``id ⊕ crc(id)`` as a ``packed_bits``-wide integer.
+        """``id ⊕ crc(id)`` as a ``contention_bits``-wide integer.
 
-        Bit layout matches :meth:`contention_payload`'s concatenation --
-        ID in the high bits, CRC in the low bits -- so packed ORs overlap
-        exactly the bits the object channel ORs.  CRC-CD draws nothing
-        from ``rng`` on either path.  The tag-side CRC is still *charged*
-        every transmission (the paper's point is that tags must run CRC);
-        only the recomputation is memoized.
+        Bit layout is the concatenation -- ID in the high bits, CRC in the
+        low bits -- so packed ORs overlap exactly the bits the object
+        channel ORs (:meth:`contention_payload` wraps this value).  CRC-CD
+        draws nothing from ``rng`` on either path.  The tag-side CRC is
+        still *charged* every transmission (the paper's point is that tags
+        must run CRC); only the recomputation is memoized.
         """
         del rng
         memo = self._payload_memo.get(tag_id)
@@ -157,11 +155,12 @@ class CRCCDDetector(CollisionDetector):
     ) -> "np.ndarray":
         """Frame classification: vectorized idle handling, scalar CRCs.
 
-        The CRC over each occupied slot's (possibly OR-overlapped) ID
-        field cannot be vectorized without forfeiting the data-dependent
-        ``crc_ops_total`` accounting, so occupied slots delegate to
-        :meth:`classify_packed`; the win is skipping the idle majority of
-        late frames.
+        Occupied slots delegate to :meth:`classify_packed`, one CRC each
+        over the (possibly OR-overlapped) ID field.  That CRC is not
+        bit-serial: the engine steps whole bytes through tables that
+        replay the shift register's XOR count, so ``crc_ops_total`` keeps
+        the exact Table IV accounting at byte-loop cost.  The win here is
+        skipping the idle majority of late frames.
         """
         n_slots = len(counts)
         out = np.full(n_slots, int(SlotType.IDLE), dtype=np.int64)

@@ -2,14 +2,16 @@
 
 Measures wall-clock per Monte-Carlo round for the streamed kernels
 (:mod:`repro.sim.fast`), the round-batched kernels
-(:mod:`repro.sim.batch`) and the exact Reader's three tiers -- object,
-per-slot uint64 packed, and frame-batched -- then writes a
+(:mod:`repro.sim.batch`), the exact Reader's three tiers -- object,
+per-slot uint64 packed, and frame-batched -- and its per-slot tree path
+(BT and QT at n and 4n tags), then writes a
 machine-readable ``BENCH_kernels.json`` (and, with ``--reader-out``, a
 reader-only document matching ``benchmarks/BENCH_reader.json``).
 
 Because absolute timings are machine-bound, the regression gate compares
-*within-run speedup ratios* (batched over streamed, packed/frame-batched
-over object), which transfer across machines::
+*within-run ratios* (batched over streamed, packed/frame-batched over
+object, and the tree row's ``tree_scaling`` = t(4n)/t(n)), which transfer
+across machines::
 
     repro-bench --quick --out BENCH_kernels.json \\
                 --baseline benchmarks/BENCH_kernels.json \\
@@ -17,11 +19,12 @@ over object), which transfer across machines::
                 --reader-baseline benchmarks/BENCH_reader.json
 
 fails (exit 1) when a batched kernel drops below streamed throughput or
-when any speedup ratio regresses more than ``--tolerance`` (default 25%)
-against the committed baseline.  When a ``--frozen-dir`` containing the
-vendored pre-batching kernels (``benchmarks/_reference_kernels.py``) is
-present, the frozen engines are measured too, so the report carries the
-full ablation story; the gate never depends on them.
+when any speedup ratio regresses (or a tree scaling ratio grows) more
+than ``--tolerance`` (default 25%) against the committed baseline.  When
+a ``--frozen-dir`` containing the vendored pre-batching kernels
+(``benchmarks/_reference_kernels.py``) is present, the frozen engines are
+measured too, so the report carries the full ablation story; the gate
+never depends on them.
 
 The committed baseline is regenerated after an *intentional* perf change
 with the same command CI runs (see ``.github/workflows/ci.yml``).
@@ -30,6 +33,7 @@ with the same command CI runs (see ``.github/workflows/ci.yml``).
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import sys
@@ -41,8 +45,10 @@ import numpy as np
 
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
+from repro.protocols.bt import BinaryTree
 from repro.protocols.estimators import SchouteEstimator
 from repro.protocols.fsa import FramedSlottedAloha
+from repro.protocols.qt import QueryTree
 from repro.sim.batch import bt_fast_batch, dfsa_fast_batch, fsa_fast_batch
 from repro.sim.fast import bt_fast, dfsa_fast, fsa_fast
 from repro.sim.reader import Reader
@@ -63,6 +69,8 @@ FULL = {"n_tags": 50_000, "frame_size": 30_000, "rounds": 10, "repeats": 3,
         "reader_tags": 1_000}
 QUICK = {"n_tags": 4_000, "frame_size": 2_400, "rounds": 6, "repeats": 2,
          "reader_tags": 300}
+#: The tree row: per-slot protocols timed at ``reader_tags`` and 4x that.
+TREE_PROTOCOLS = {"bt": BinaryTree, "qt": QueryTree}
 
 
 def _time(fn: Callable[[], object], repeats: int) -> float:
@@ -206,6 +214,31 @@ def run_bench(
         t_obj = min(t_obj, reader_once(False))
         t_packed = min(t_packed, reader_once(True, frame_batched=False))
         t_batched = min(t_batched, reader_once(True))
+
+    def tree_once(protocol_cls, n: int) -> float:
+        pop = TagPopulation(n, id_bits=timing.id_bits, rng=make_rng(98))
+        reader = Reader(QCDDetector(8), timing)
+        # Start each run from a collected heap: a full collection of the
+        # previous runs' garbage landing inside one window but not the
+        # other skews the ratio by up to 2x.
+        gc.collect()
+        t0 = time.perf_counter()
+        reader.run_inventory(pop.tags, protocol_cls())
+        return time.perf_counter() - t0
+
+    # The per-slot tree path: n and 4n tags, so tree_scaling = t(4n)/t(n)
+    # is ~4 for O(responders) slots and ~16 for a per-slot rescan.
+    tree: dict = {"n": reader_tags}
+    for name, protocol_cls in TREE_PROTOCOLS.items():
+        small = large = float("inf")
+        for _ in range(max(repeats, 5)):
+            small = min(small, tree_once(protocol_cls, reader_tags))
+            large = min(large, tree_once(protocol_cls, 4 * reader_tags))
+        tree[name] = {
+            "small_ms": small * 1_000.0,
+            "large_ms": large * 1_000.0,
+            "tree_scaling": large / small,
+        }
     return {
         "config": {
             "n_tags": n_tags,
@@ -224,6 +257,7 @@ def run_bench(
             "packed_speedup": t_obj / t_packed,
             "batched_speedup": t_obj / t_batched,
             "batched_speedup_vs_packed": t_packed / t_batched,
+            "tree": tree,
         },
     }
 
@@ -285,6 +319,19 @@ def check_reader_against_baseline(
             problems.append(
                 f"reader: {label} speedup regressed {cur:.2f}x vs "
                 f"baseline {base:.2f}x (> {tolerance:.0%} drop)"
+            )
+    # Tree scaling is a cost ratio: lower is better, so it may grow by at
+    # most the tolerance.
+    base_tree = base_reader.get("tree", {})
+    for name, entry in reader.get("tree", {}).items():
+        base = base_tree.get(name)
+        if not isinstance(entry, dict) or not isinstance(base, dict):
+            continue
+        cur, ref = entry["tree_scaling"], base["tree_scaling"]
+        if cur > ref * (1.0 + tolerance):
+            problems.append(
+                f"reader: {name} tree scaling t(4n)/t(n) grew to {cur:.2f} "
+                f"vs baseline {ref:.2f} (> {tolerance:.0%} rise)"
             )
     return problems
 
@@ -387,6 +434,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"{rd['packed_ms']:8.2f} ms | batched {rd['batched_ms']:8.2f} ms "
         f"| {rd['packed_speedup']:.2f}x / {rd['batched_speedup']:.2f}x"
     )
+    tree = rd["tree"]
+    for name in TREE_PROTOCOLS:
+        entry = tree[name]
+        print(
+            f"tree {name:>3}: n={tree['n']} {entry['small_ms']:8.2f} ms | "
+            f"4n {entry['large_ms']:8.2f} ms | scaling "
+            f"{entry['tree_scaling']:.2f}"
+        )
 
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -19,10 +19,19 @@ schedule and completes in exactly one slot per tag -- the "starts the tag
 identification only from readable cycles" property the paper quotes.  New
 arrivals pick a random ASC in the current range and are split in on
 collision.
+
+A slot only ever touches the tags whose ASC equals PSC, so the protocol
+keeps the tags grouped by ``ASC - PSC`` in a deque: a collision splits the
+front group in two, an idle slot drops it (closing the gap), a single
+retires it and advances PSC.  Every other tag's ASC shifts implicitly with
+its group's position, and ``tag.counter`` is written back as each tag
+retires (or withdraws).  A slot costs O(responders) instead of a rescan of
+the population, with the same random draws.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Sequence
 
 from repro.core.detector import SlotType
@@ -49,17 +58,30 @@ class AdaptiveBinarySplitting(AntiCollisionProtocol):
         self.name = "ABS"
         self._psc = 0
         self._max_asc = 0
+        #: ``_groups[k]``: the contending tags whose ASC is ``PSC + k``,
+        #: trimmed so the last group always holds an unidentified tag.
+        self._groups: deque[list[Tag]] = deque()
 
     def start(self, tags: Sequence[Tag], fresh: bool = True) -> None:
         AntiCollisionProtocol.start(self, tags)
         self.frames_started = 1  # one continuous logical frame
         self._psc = 0
+        active = [t for t in self._tags if not t.identified]
         if fresh:
             for tag in self._tags:
                 tag.counter = 0
             self._max_asc = 0
+            self._groups = deque([active])
         else:
             self._max_asc = max((t.counter for t in self._tags), default=0)
+            by_asc: dict[int, list[Tag]] = {}
+            for tag in active:
+                if tag.counter >= 0:
+                    by_asc.setdefault(tag.counter, []).append(tag)
+            self._groups = deque(
+                by_asc.get(asc, []) for asc in range(max(by_asc, default=-1) + 1)
+            )
+        self._trim()
 
     def admit(self, tag: Tag) -> None:
         """A new arrival draws a random ASC in the not-yet-progressed range
@@ -68,36 +90,68 @@ class AdaptiveBinarySplitting(AntiCollisionProtocol):
         hi = max(self._psc, self._max_asc)
         tag.counter = int(tag.rng.integers(self._psc, hi + 1))
         self._max_asc = max(self._max_asc, tag.counter)
+        offset = tag.counter - self._psc
+        while len(self._groups) <= offset:
+            self._groups.append([])
+        self._groups[offset].append(tag)
+
+    def withdraw(self, tag: Tag) -> None:
+        super().withdraw(tag)
+        for offset, group in enumerate(self._groups):
+            if any(t is tag for t in group):
+                group[:] = [t for t in group if t is not tag]
+                tag.counter = self._psc + offset
+                break
+        self._trim()
+
+    def _trim(self) -> None:
+        groups = self._groups
+        while groups and all(t.identified for t in groups[-1]):
+            groups.pop()
 
     # ------------------------------------------------------------------
 
     def responders(self) -> list[Tag]:
-        return [t for t in self.active_tags() if t.counter == self._psc]
+        if not self._groups:
+            return []
+        return [t for t in self._groups[0] if not t.identified]
 
     def feedback(self, effective: SlotType, responders: list[Tag]) -> None:
         self._note_slot()
-        responder_set = set(id(t) for t in responders)
+        groups = self._groups
+        psc = self._psc
+        front = groups.popleft() if groups else []
         if effective is SlotType.COLLIDED:
-            for tag in self.active_tags():
-                if id(tag) in responder_set:
-                    tag.counter += int(tag.rng.integers(0, 2))
+            # Responders add a random bit; every later group shifts up
+            # one (``ASC > PSC`` increments) to make room for the 1-half.
+            zeros: list[Tag] = []
+            ones: list[Tag] = []
+            for tag in front:
+                if tag.identified:  # captured out of the collision
+                    tag.counter = psc
                 else:
-                    if tag.counter > self._psc:
-                        tag.counter += 1
-        elif effective is SlotType.IDLE:
-            for tag in self.active_tags():
-                if tag.counter > self._psc:
-                    tag.counter -= 1
-        else:  # single
+                    (ones if tag.rng.integers(0, 2) else zeros).append(tag)
+            groups.appendleft(ones)
+            groups.appendleft(zeros)
+        elif effective is SlotType.SINGLE:
+            # The front retires at this PSC, identified or not (a true
+            # single read as idle is never asked again).
+            for tag in front:
+                tag.counter = psc
             self._psc += 1
-        self._max_asc = max(
-            (t.counter for t in self.active_tags()), default=self._psc - 1
-        )
+        else:
+            # Idle: the empty slot is reclaimed (``ASC > PSC`` decrement).
+            # Only feedback that disagrees with the responders can leave
+            # a contender here; it stays at PSC, merged with the next group.
+            stay = [t for t in front if not t.identified]
+            if stay:
+                order = {id(t): i for i, t in enumerate(self._tags)}
+                merged = stay + (groups.popleft() if groups else [])
+                groups.appendleft(sorted(merged, key=lambda t: order[id(t)]))
+        self._trim()
+        self._max_asc = self._psc + len(groups) - 1
 
     @property
     def finished(self) -> bool:
         """Round over when the reader has progressed past every ASC."""
-        active = self.active_tags()
-        if not active:
-            return True
-        return self._psc > max(t.counter for t in active)
+        return not self._groups

@@ -15,16 +15,28 @@ their parent between rounds (the parent is guaranteed idle too, so the
 merge loses nothing); a single-prefix is never merged, since combining it
 with its sibling would re-create the collision the previous round already
 paid to resolve.
+
+Per-slot work follows :mod:`repro.protocols.qt`: each queued prefix
+carries its candidate tags.  A readable round hands each warm-start prefix
+the tags under it, found by binary search in the sorted IDs rather than
+one population scan per prefix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Sequence
 
 from repro.bits.bitvec import BitVector
 from repro.core.detector import SlotType
 from repro.protocols.base import AntiCollisionProtocol
+from repro.protocols.qt import (
+    admit_to_lists,
+    children,
+    prefix_responders,
+    withdraw_from_lists,
+)
 from repro.tags.tag import Tag
 
 __all__ = ["AdaptiveQuerySplitting"]
@@ -40,6 +52,8 @@ class AdaptiveQuerySplitting(AntiCollisionProtocol):
         self.name = "AQS"
         self.max_slots = max_slots
         self._queue: deque[BitVector] = deque()
+        #: Candidate tags of each queued prefix, in lockstep with ``_queue``.
+        self._candidates: deque[list[Tag]] = deque()
         #: (prefix, was_idle) outcomes of this round, seeding the next.
         self.candidate_queue: list[tuple[BitVector, bool]] = []
         self.aborted = False
@@ -49,10 +63,45 @@ class AdaptiveQuerySplitting(AntiCollisionProtocol):
         self.frames_started = 1  # one continuous logical frame
         self.aborted = False
         if fresh or not self.candidate_queue:
+            everyone = list(self._tags)
             self._queue = deque([BitVector(0, 1), BitVector(1, 1)])
+            self._candidates = deque([everyone, everyone])
         else:
             self._queue = deque(self._compact(self.candidate_queue))
+            self._candidates = deque(self._tags_under(self._queue))
         self.candidate_queue = []
+
+    def _tags_under(self, prefixes: Sequence[BitVector]) -> list[list[Tag]]:
+        """The tags under each warm-start prefix, in population order.
+
+        A plain tag of ``B`` ID bits answers ``(value, L)`` iff its ID lies
+        in ``[value << (B - L), (value + 1) << (B - L))``: a binary search
+        in the sorted IDs per prefix, O(n log n) for the round instead of
+        one scan per prefix.  Other tag classes are asked directly.
+        """
+        order = {id(t): i for i, t in enumerate(self._tags)}
+        by_width: dict[int, tuple[list[int], list[Tag]]] = {}
+        others = []
+        for tag in sorted(self._tags, key=lambda t: t.tag_id):
+            if type(tag) is Tag:
+                ids, members = by_width.setdefault(tag.id_bits, ([], []))
+                ids.append(tag.tag_id)
+                members.append(tag)
+            else:
+                others.append(tag)
+        out = []
+        for prefix in prefixes:
+            value, length = prefix.value, prefix.length
+            found = [t for t in others if t.responds_to_prefix(prefix)]
+            for width, (ids, members) in by_width.items():
+                shift = width - length
+                if shift >= 0:
+                    lo = bisect_left(ids, value << shift)
+                    hi = bisect_left(ids, (value + 1) << shift)
+                    found += members[lo:hi]
+            found.sort(key=lambda t: order[id(t)])
+            out.append(found)
+        return out
 
     @staticmethod
     def _compact(candidates: Sequence[tuple[BitVector, bool]]) -> list[BitVector]:
@@ -60,49 +109,66 @@ class AdaptiveQuerySplitting(AntiCollisionProtocol):
 
         Single-prefixes are kept verbatim: merging one with anything could
         put two tags back under one probe.  Merging two idle siblings is
-        safe -- their parent covers the same (empty) region.
+        safe -- their parent covers the same (empty) region.  One pass
+        from the longest prefix up suffices: a level's merges only feed
+        the level above, and a pair is fixed by either member, so the
+        order of merges cannot change the result.  One-bit prefixes never
+        merge into the empty prefix.
         """
-        idle = {p.to_bitstring() for p, was_idle in candidates if was_idle}
-        keep = [p for p, was_idle in candidates if not was_idle]
-        changed = True
-        while changed:
-            changed = False
-            for s in sorted(idle, key=len, reverse=True):
-                if len(s) <= 1 or s not in idle:
-                    continue
-                sibling = s[:-1] + ("1" if s[-1] == "0" else "0")
-                if sibling in idle:
-                    idle.discard(s)
-                    idle.discard(sibling)
-                    idle.add(s[:-1])
-                    changed = True
-                    break
-        merged = keep + [BitVector.from_bitstring(s) for s in sorted(idle)]
-        merged.sort(key=lambda p: (p.length, p.to_bitstring()))
+        idle: dict[int, set[int]] = {}
+        keep = []
+        for prefix, was_idle in candidates:
+            if was_idle:
+                idle.setdefault(prefix.length, set()).add(prefix.value)
+            else:
+                keep.append(prefix)
+        for length in range(max(idle, default=0), 1, -1):
+            level = idle.get(length)
+            if not level:
+                continue
+            paired = {v for v in level if v ^ 1 in level}
+            if paired:
+                level -= paired
+                idle.setdefault(length - 1, set()).update(v >> 1 for v in paired)
+        merged = keep + [
+            BitVector(value, length)
+            for length, values in idle.items()
+            for value in values
+        ]
+        merged.sort(key=lambda p: (p.length, p.value))
         return merged
 
     # ------------------------------------------------------------------
 
+    def admit(self, tag: Tag) -> None:
+        super().admit(tag)
+        admit_to_lists(self._candidates, tag)
+
+    def withdraw(self, tag: Tag) -> None:
+        super().withdraw(tag)
+        withdraw_from_lists(self._candidates, tag)
+
     def responders(self) -> list[Tag]:
         if not self._queue:
             return []
-        prefix = self._queue[0]
-        return [t for t in self.active_tags() if t.responds_to_prefix(prefix)]
+        return prefix_responders(self._queue[0], self._candidates[0])
 
     def feedback(self, effective: SlotType, responders: list[Tag]) -> None:
         self._note_slot()
         prefix = self._queue.popleft()
+        self._candidates.popleft()
         if effective is SlotType.COLLIDED:
             id_bits = self._tags[0].id_bits if self._tags else 0
             if prefix.length < id_bits:
-                self._queue.append(prefix + BitVector(0, 1))
-                self._queue.append(prefix + BitVector(1, 1))
+                self._queue.extend(children(prefix))
+                self._candidates.extend((responders, responders))
         else:
             # Remember readable prefixes for the next round's warm start.
             self.candidate_queue.append((prefix, effective is SlotType.IDLE))
         if self.max_slots is not None and self.slots_elapsed >= self.max_slots:
             self.aborted = True
             self._queue.clear()
+            self._candidates.clear()
 
     @property
     def finished(self) -> bool:
@@ -114,5 +180,6 @@ class AdaptiveQuerySplitting(AntiCollisionProtocol):
             # round's warm start still covers their regions.
             self.candidate_queue.extend((p, True) for p in self._queue)
             self._queue.clear()
+            self._candidates.clear()
             return True
         return False

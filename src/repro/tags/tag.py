@@ -83,6 +83,11 @@ class Tag:
         Normal tags match on their ID prefix; adversarial tags (see
         :mod:`repro.security.blocker`) override this to answer always or
         within a protected zone.
+
+        Overrides must keep the **monotone prefix contract**: a tag that
+        answers a prefix's extension (``prefix + 0`` or ``prefix + 1``)
+        also answers the prefix itself.  QT and AQS rely on it to ask each
+        probe only the tags that answered its parent probe.
         """
         return self.id_vector.startswith(prefix)
 

@@ -3,6 +3,7 @@ error-detection properties."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -177,3 +178,96 @@ class TestErrorDetection:
         engine.compute_bits(BitVector.zeros(128))
         ops128 = engine.last_op_count
         assert abs(ops128 - 2 * ops64) <= 0.1 * ops64
+
+
+def _bit_serial_reference(spec: CrcSpec, bits: BitVector) -> tuple[int, int]:
+    """The shift register one bit at a time, as ``CrcEngine`` once ran it.
+
+    Frozen here so the byte-table kernel is checked against the textbook
+    algorithm: the same register walk and the same op count (shift and
+    compare per bit, plus one per polynomial XOR).
+    """
+    mask = (1 << spec.width) - 1
+    raw = bits.to_bits()
+    if spec.refin:
+        # Whole bytes LSB-first; a trailing partial chunk is reversed too.
+        stream = [b for i in range(0, len(raw), 8) for b in reversed(raw[i : i + 8])]
+    else:
+        stream = raw
+    reg = spec.init
+    ops = 0
+    for bit in stream:
+        top = (reg >> (spec.width - 1)) & 1
+        reg = (reg << 1) & mask
+        if top ^ bit:
+            reg ^= spec.poly
+            ops += 1
+        ops += 2
+    if spec.refout:
+        out = 0
+        for _ in range(spec.width):
+            out = (out << 1) | (reg & 1)
+            reg >>= 1
+        reg = out
+    return (reg ^ spec.xorout) & mask, ops
+
+
+#: Catalogue specs plus reflected registers narrower than and equal to a
+#: byte, which no catalogue entry covers.
+IDENTITY_SPECS = ALL_SPECS + [
+    CrcSpec("CRC-4/refin", 4, 0x3, 0x0, True, True, 0x0, 0x7),
+    CrcSpec("CRC-8/mixed", 8, 0x07, 0xAB, True, False, 0x55, 0x00),
+]
+
+
+class TestTableKernelIdentity:
+    """The byte-table bitwise kernel replays the bit-serial register."""
+
+    @pytest.mark.parametrize("spec", IDENTITY_SPECS, ids=lambda s: s.name)
+    def test_every_length_0_to_130(self, spec):
+        rng = np.random.default_rng(spec.width)
+        engine = CrcEngine(spec, "bitwise")
+        for length in range(131):
+            for _ in range(6):
+                value = int.from_bytes(rng.bytes(17), "big") >> (136 - length)
+                bits = BitVector(value, length)
+                got = (engine.compute_bits(bits).value, engine.last_op_count)
+                assert got == _bit_serial_reference(spec, bits), (length, value)
+
+    @pytest.mark.parametrize("spec", IDENTITY_SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_constant_messages(self, spec, fill):
+        engine = CrcEngine(spec, "bitwise")
+        for length in range(131):
+            bits = BitVector(((1 << length) - 1) * fill, length)
+            got = (engine.compute_bits(bits).value, engine.last_op_count)
+            assert got == _bit_serial_reference(spec, bits)
+
+    def test_crc5_takes_the_bit_loop(self):
+        """Registers narrower than a byte have no byte table."""
+        engine = CrcEngine(CRC5_EPC, "bitwise")
+        assert engine._shift_tables is None
+        bits = BitVector(0xDEADBEEFCAFE, 48)
+        assert (
+            engine.compute_bits(bits).value,
+            engine.last_op_count,
+        ) == _bit_serial_reference(CRC5_EPC, bits)
+
+    @given(st.sampled_from(IDENTITY_SPECS), st.integers(0, 130), st.data())
+    def test_random_messages(self, spec, length, data):
+        value = data.draw(st.integers(0, (1 << length) - 1))
+        bits = BitVector(value, length)
+        engine = CrcEngine(spec, "bitwise")
+        got = (engine.compute_bits(bits).value, engine.last_op_count)
+        assert got == _bit_serial_reference(spec, bits)
+
+    def test_reflect_matches_bit_loop(self):
+        for width in range(1, 40):
+            for value in (0, 1, (1 << width) - 1, 0x5A5A5A5A5A % (1 << width)):
+                expected, rest = 0, value
+                for _ in range(width):
+                    expected = (expected << 1) | (rest & 1)
+                    rest >>= 1
+                assert reflect(value, width) == expected
+                # Bits above the width are ignored.
+                assert reflect(value | (1 << width), width) == expected

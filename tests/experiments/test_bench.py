@@ -38,7 +38,16 @@ class TestRunBench:
             "packed_speedup",
             "batched_speedup",
             "batched_speedup_vs_packed",
+            "tree",
         }
+        assert set(reader["tree"]) == {"n", "bt", "qt"}
+        assert reader["tree"]["n"] == TINY["reader_tags"]
+        for name in ("bt", "qt"):
+            entry = reader["tree"][name]
+            assert set(entry) == {"small_ms", "large_ms", "tree_scaling"}
+            assert entry["tree_scaling"] == pytest.approx(
+                entry["large_ms"] / entry["small_ms"]
+            )
         assert reader["packed_speedup"] > 0
         assert reader["batched_speedup"] > 0
         assert report["config"]["frozen_measured"] is False
@@ -129,6 +138,19 @@ class TestGate:
         report = self._report()
         report["reader"]["batched_speedup"] = 2.6
         assert check_reader_against_baseline(report, report, 0.25) == []
+
+    def test_reader_gate_flags_tree_scaling_growth(self):
+        report = self._report()
+        report["reader"]["tree"] = {"n": 300, "bt": {"tree_scaling": 6.0}}
+        baseline = {"reader": {"tree": {"n": 300, "bt": {"tree_scaling": 4.2}}}}
+        problems = check_reader_against_baseline(report, baseline, 0.25)
+        assert any("bt tree scaling" in p for p in problems)
+
+    def test_reader_gate_tolerates_tree_scaling_drift(self):
+        report = self._report()
+        report["reader"]["tree"] = {"n": 300, "qt": {"tree_scaling": 5.0}}
+        baseline = {"reader": {"tree": {"n": 300, "qt": {"tree_scaling": 4.2}}}}
+        assert check_reader_against_baseline(report, baseline, 0.25) == []
 
     def test_reader_gate_skips_ratios_missing_on_either_side(self):
         # A pre-frame-batching baseline has no batched_speedup entry;

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference_tree as ref
 from repro.bits.bitvec import BitVector
 from repro.core.qcd import QCDDetector
 from repro.protocols.aqs import AdaptiveQuerySplitting
@@ -96,6 +102,69 @@ class TestCompaction:
     def test_lone_idle_kept(self):
         out = self.compact(("00", True), ("10", False))
         assert out == {"00", "10"}
+
+
+@st.composite
+def candidate_sets(draw):
+    """Random readable outcomes plus idle sibling chains that cascade."""
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.text("01", min_size=1, max_size=9), st.booleans()
+            ),
+            max_size=60,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.text("01", min_size=1, max_size=10))
+        # Idle ``path`` and the idle sibling of each of its prefixes:
+        # the merges climb the whole path, down to a one-bit prefix.
+        pairs.append((path, True))
+        for k in range(2, len(path) + 1):
+            node = path[:k]
+            pairs.append((node[:-1] + ("1" if node[-1] == "0" else "0"), True))
+    depth = draw(st.integers(0, 6))
+    if depth:
+        # A complete idle subtree under a random root.
+        root = draw(st.text("01", min_size=1, max_size=4))
+        pairs += [
+            (root + format(i, f"0{depth}b"), True) for i in range(1 << depth)
+        ]
+    order = draw(st.permutations(range(len(pairs))))
+    return [
+        (BitVector.from_bitstring(pairs[i][0]), pairs[i][1]) for i in order
+    ]
+
+
+class TestCompactionIdentity:
+    """One bottom-up pass returns exactly what the old merge-and-resort
+    loop (frozen in ``_reference_tree``) returned."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_sets())
+    def test_same_list_as_reference(self, cands):
+        assert AdaptiveQuerySplitting._compact(
+            cands
+        ) == ref.AdaptiveQuerySplitting._compact(cands)
+
+    def test_cascade_to_one_bit_prefixes(self):
+        leaves = [
+            (BitVector(i, 8), True) for i in range(1 << 8)
+        ]
+        out = AdaptiveQuerySplitting._compact(leaves)
+        assert out == [BitVector(0, 1), BitVector(1, 1)]
+        assert out == ref.AdaptiveQuerySplitting._compact(leaves)
+
+    def test_large_candidate_set_is_not_superlinear(self):
+        """2^14 idle leaves plus 2^13 singles: the old loop re-sorted the
+        idle set after every merge (minutes here); one pass takes
+        milliseconds.  The bound is loose on purpose."""
+        cands = [(BitVector(i, 14), True) for i in range(1 << 14)]
+        cands += [(BitVector(i, 15), False) for i in range(0, 1 << 15, 4)]
+        t0 = time.perf_counter()
+        out = AdaptiveQuerySplitting._compact(cands)
+        assert time.perf_counter() - t0 < 2.0
+        assert out[:2] == [BitVector(0, 1), BitVector(1, 1)]
 
 
 class TestBounds:

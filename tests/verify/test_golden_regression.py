@@ -1,7 +1,8 @@
 """Golden-file regression: slot-type distributions for frozen seeds.
 
-Pins the exact reader and both fast kernels at one QCD-4 grid point
-(n = 30, ℱ = 16, seed 2010).  Any change to the RNG consumption order,
+Pins the exact reader (FSA/DFSA on each tier, BT/QT/ABS/AQS per slot)
+and both fast kernels at one QCD-4 grid point (n = 30, ℱ = 16, seed
+2010).  Any change to the RNG consumption order,
 the channel, the detector, or the kernels shifts these counts and fails
 the exact-equality comparison against ``tests/data``.
 
@@ -20,9 +21,12 @@ import numpy as np
 from repro.bits.rng import make_rng
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
+from repro.protocols.abs_protocol import AdaptiveBinarySplitting
+from repro.protocols.aqs import AdaptiveQuerySplitting
 from repro.protocols.bt import BinaryTree
 from repro.protocols.dfsa import DynamicFSA
 from repro.protocols.fsa import FramedSlottedAloha
+from repro.protocols.qt import QueryTree
 from repro.sim.fast import bt_fast, fsa_fast
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
@@ -37,6 +41,11 @@ N_TAGS = 30
 FRAME = 16
 SEED = 2010
 STRENGTH = 4  # QCD-4: misses are common enough to pin the policy paths
+TREE_PROTOCOLS = {
+    "qt": QueryTree,
+    "abs": AdaptiveBinarySplitting,
+    "aqs": AdaptiveQuerySplitting,
+}
 
 
 def _counts(stats) -> dict:
@@ -81,6 +90,15 @@ def generate() -> dict:
         _population().tags, BinaryTree()
     )
     out["reader-bt"] = _counts(res.stats)
+
+    # The other per-slot tree protocols, pinned before their per-slot
+    # state moved from population rescans to group stacks and candidate
+    # lists.
+    for label, protocol in TREE_PROTOCOLS.items():
+        res = Reader(QCDDetector(STRENGTH), timing).run_inventory(
+            _population().tags, protocol()
+        )
+        out[f"reader-{label}"] = _counts(res.stats)
 
     # The Reader's three tiers pinned separately: the object path, the
     # per-slot uint64 path, and the frame-batched path must all land on
@@ -132,7 +150,7 @@ class TestGoldenDistribution:
             f"reader-{proto}-{tier}"
             for proto in ("fsa", "dfsa")
             for tier in ("object", "packed", "batched")
-        )
+        ) + tuple(f"reader-{label}" for label in TREE_PROTOCOLS)
         for key in keys:
             entry = golden[key]
             assert entry["true"]["single"] == N_TAGS
