@@ -54,15 +54,9 @@ class CRCCDDetector(CollisionDetector):
         self.id_bits = id_bits
         self.engine = CrcEngine(crc_spec, method=method)
         self.name = f"CRC-CD/{crc_spec.name}"
-        # The uint64 fast path needs the whole id ⊕ crc(id) payload in one
-        # machine word: available for e.g. 32-bit IDs with CRC-32, or
-        # 48-bit IDs with CRC-16 -- the paper's 64+32 layout stays on the
-        # object path.
-        self.packed_bits = (
-            self.id_bits + self.engine.spec.width
-            if self.id_bits + self.engine.spec.width <= 64
-            else None
-        )
+        # The packed path carries id ⊕ crc(id) as one integer: a machine
+        # word up to 64 bits, a Python int above (the paper's 64+32).
+        self.packed_bits = self.id_bits + self.engine.spec.width
         # A tag's payload is a pure function of its ID, so both paths
         # memoize (value, crc_op_count) per ID and replay the op count
         # into the counters on every transmission -- identical Table IV

@@ -3,15 +3,16 @@
 Measures wall-clock per Monte-Carlo round for the streamed kernels
 (:mod:`repro.sim.fast`), the round-batched kernels
 (:mod:`repro.sim.batch`), the exact Reader's three tiers -- object,
-per-slot uint64 packed, and frame-batched -- and its per-slot tree path
-(BT and QT at n and 4n tags), then writes a
+per-slot packed, and frame-batched -- the frame-batched path on the
+paper's 64-bit CRC-CD and with :mod:`repro.obs` enabled, and the per-slot
+tree path (BT and QT at n and 4n tags), then writes a
 machine-readable ``BENCH_kernels.json`` (and, with ``--reader-out``, a
 reader-only document matching ``benchmarks/BENCH_reader.json``).
 
 Because absolute timings are machine-bound, the regression gate compares
 *within-run ratios* (batched over streamed, packed/frame-batched over
-object, and the tree row's ``tree_scaling`` = t(4n)/t(n)), which transfer
-across machines::
+object, the obs-on over obs-off cost ratio, and the tree row's
+``tree_scaling`` = t(4n)/t(n)), which transfer across machines::
 
     repro-bench --quick --out BENCH_kernels.json \\
                 --baseline benchmarks/BENCH_kernels.json \\
@@ -19,12 +20,12 @@ across machines::
                 --reader-baseline benchmarks/BENCH_reader.json
 
 fails (exit 1) when a batched kernel drops below streamed throughput or
-when any speedup ratio regresses (or a tree scaling ratio grows) more
-than ``--tolerance`` (default 25%) against the committed baseline.  When
-a ``--frozen-dir`` containing the vendored pre-batching kernels
-(``benchmarks/_reference_kernels.py``) is present, the frozen engines are
-measured too, so the report carries the full ablation story; the gate
-never depends on them.
+when any speedup ratio regresses (or a cost ratio -- tree scaling, the
+obs toll -- grows) more than ``--tolerance`` (default 25%) against the
+committed baseline.  When a ``--frozen-dir`` containing the vendored
+pre-batching kernels (``benchmarks/_reference_kernels.py``) is present,
+the frozen engines are measured too, so the report carries the full
+ablation story; the gate never depends on them.
 
 The committed baseline is regenerated after an *intentional* perf change
 with the same command CI runs (see ``.github/workflows/ci.yml``).
@@ -43,8 +44,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.crc_cd import CRCCDDetector
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
+from repro.obs.registry import MetricsRegistry
+from repro.obs.state import STATE as _OBS
 from repro.protocols.bt import BinaryTree
 from repro.protocols.estimators import SchouteEstimator
 from repro.protocols.fsa import FramedSlottedAloha
@@ -190,7 +194,12 @@ def run_bench(
             )
         kernels[proto] = entry
 
-    def reader_once(packed: bool, frame_batched: bool = True) -> float:
+    def reader_once(
+        packed: bool | None,
+        frame_batched: bool = True,
+        detector=QCDDetector,
+        observed: bool = False,
+    ) -> float:
         # A fresh population per run is required (identification is
         # destructive), but spawning its per-tag RNG streams is setup,
         # not Reader work -- keep it outside the timed window so the
@@ -199,21 +208,48 @@ def run_bench(
             reader_tags, id_bits=timing.id_bits, rng=make_rng(99)
         )
         reader = Reader(
-            QCDDetector(8), timing, packed=packed,
-            frame_batched=frame_batched,
+            detector(), timing, packed=packed, frame_batched=frame_batched,
         )
-        t0 = time.perf_counter()
-        reader.run_inventory(pop.tags, FramedSlottedAloha(max(1, reader_tags)))
-        return time.perf_counter() - t0
+        saved = _OBS.enabled, _OBS.registry
+        if observed:
+            # Count into a private registry: the bench's own slots must
+            # not land in the caller's metrics.
+            _OBS.registry = obs_registry
+        _OBS.enabled = observed
+        # Start from a collected heap, as tree_once does.
+        gc.collect()
+        try:
+            t0 = time.perf_counter()
+            reader.run_inventory(
+                pop.tags, FramedSlottedAloha(max(1, reader_tags))
+            )
+            return time.perf_counter() - t0
+        finally:
+            _OBS.enabled, _OBS.registry = saved
 
-    # Interleave the three reader tiers within each repeat (and take at
-    # least best-of-5): the ratios are what the gate compares, and
-    # alternating keeps a sustained noise spike from biasing one tier.
-    t_obj = t_packed = t_batched = float("inf")
-    for _ in range(max(repeats, 5)):
-        t_obj = min(t_obj, reader_once(False))
-        t_packed = min(t_packed, reader_once(True, frame_batched=False))
-        t_batched = min(t_batched, reader_once(True))
+    obs_registry = MetricsRegistry()
+
+    def crc64() -> CRCCDDetector:
+        # The paper's layout: 64-bit ID + CRC-32, a 96-bit payload.
+        return CRCCDDetector(id_bits=64)
+
+    # Interleave the reader tiers within each repeat, alternating their
+    # order, and take at least best-of-15: the ratios are what the gate
+    # compares, and a toll of a few percent (the obs pair) sits inside
+    # this host noise at fewer samples.  The obs pair runs with whatever
+    # sink the process tracer has (a NullSink unless the caller set one).
+    tiers = {
+        "object": lambda: reader_once(False),
+        "packed": lambda: reader_once(True, frame_batched=False),
+        "batched": lambda: reader_once(True),
+        "observed": lambda: reader_once(None, observed=True),
+        "crc_object": lambda: reader_once(False, detector=crc64),
+        "crc_batched": lambda: reader_once(None, detector=crc64),
+    }
+    best = dict.fromkeys(tiers, float("inf"))
+    for i in range(3 * max(repeats, 5)):
+        for name in list(tiers)[:: 1 if i % 2 == 0 else -1]:
+            best[name] = min(best[name], tiers[name]())
 
     def tree_once(protocol_cls, n: int) -> float:
         pop = TagPopulation(n, id_bits=timing.id_bits, rng=make_rng(98))
@@ -251,12 +287,17 @@ def run_bench(
         },
         "kernels": kernels,
         "reader": {
-            "object_ms": t_obj * 1_000.0,
-            "packed_ms": t_packed * 1_000.0,
-            "batched_ms": t_batched * 1_000.0,
-            "packed_speedup": t_obj / t_packed,
-            "batched_speedup": t_obj / t_batched,
-            "batched_speedup_vs_packed": t_packed / t_batched,
+            "object_ms": best["object"] * 1_000.0,
+            "packed_ms": best["packed"] * 1_000.0,
+            "batched_ms": best["batched"] * 1_000.0,
+            "packed_speedup": best["object"] / best["packed"],
+            "batched_speedup": best["object"] / best["batched"],
+            "batched_speedup_vs_packed": best["packed"] / best["batched"],
+            "crc_object_ms": best["crc_object"] * 1_000.0,
+            "crc_batched_ms": best["crc_batched"] * 1_000.0,
+            "crc_batched_speedup": best["crc_object"] / best["crc_batched"],
+            "obs_batched_ms": best["observed"] * 1_000.0,
+            "obs_batched_ratio": best["observed"] / best["batched"],
             "tree": tree,
         },
     }
@@ -310,6 +351,7 @@ def check_reader_against_baseline(
     for key, label in (
         ("packed_speedup", "packed"),
         ("batched_speedup", "frame-batched"),
+        ("crc_batched_speedup", "CRC-CD frame-batched"),
     ):
         base = base_reader.get(key)
         cur = reader.get(key)
@@ -320,8 +362,18 @@ def check_reader_against_baseline(
                 f"reader: {label} speedup regressed {cur:.2f}x vs "
                 f"baseline {base:.2f}x (> {tolerance:.0%} drop)"
             )
-    # Tree scaling is a cost ratio: lower is better, so it may grow by at
-    # most the tolerance.
+    # The obs toll and tree scaling are cost ratios: lower is better, so
+    # each may grow by at most the tolerance.
+    base, cur = base_reader.get("obs_batched_ratio"), reader.get(
+        "obs_batched_ratio"
+    )
+    if base is not None and cur is not None and cur > base * (
+        1.0 + tolerance
+    ):
+        problems.append(
+            f"reader: obs-on/obs-off frame-path ratio grew to {cur:.2f} vs "
+            f"baseline {base:.2f} (> {tolerance:.0%} rise)"
+        )
     base_tree = base_reader.get("tree", {})
     for name, entry in reader.get("tree", {}).items():
         base = base_tree.get(name)
@@ -341,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description=(
             "Measure streamed vs round-batched kernel throughput and the "
-            "Reader's object vs uint64 paths; gate CI on speedup ratios."
+            "Reader's object vs packed paths; gate CI on speedup ratios."
         ),
     )
     parser.add_argument(
@@ -433,6 +485,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"reader: object {rd['object_ms']:8.2f} ms | packed "
         f"{rd['packed_ms']:8.2f} ms | batched {rd['batched_ms']:8.2f} ms "
         f"| {rd['packed_speedup']:.2f}x / {rd['batched_speedup']:.2f}x"
+    )
+    print(
+        f"reader crc-64: object {rd['crc_object_ms']:8.2f} ms | batched "
+        f"{rd['crc_batched_ms']:8.2f} ms | {rd['crc_batched_speedup']:.2f}x"
+        f" ; obs on/off {rd['obs_batched_ratio']:.3f}"
     )
     tree = rd["tree"]
     for name in TREE_PROTOCOLS:

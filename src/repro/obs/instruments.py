@@ -18,6 +18,8 @@ enabled mode.  The contract that makes the dumps trustworthy:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.obs.state import STATE
 
 __all__ = [
@@ -63,6 +65,8 @@ __all__ = [
     "GATEWAY_INVENTORIES",
     "GATEWAY_REPORT_SECONDS",
     "record_slot",
+    "slot_event",
+    "record_frame",
     "record_inventory",
     "record_kernel_stats",
 ]
@@ -156,7 +160,8 @@ def record_slot(record) -> None:
     """Per-slot counters + a ``slot`` trace event (exact reader path).
 
     ``record`` is a :class:`repro.sim.trace.SlotRecord`; typed loosely to
-    keep :mod:`repro.obs` import-independent of :mod:`repro.sim`.
+    keep :mod:`repro.obs` import-independent of :mod:`repro.sim`.  The
+    event is only built when the tracer's sink keeps records.
     """
     reg = STATE.registry
     true_name = record.true_type.name
@@ -186,15 +191,104 @@ def record_slot(record) -> None:
         reg.counter(
             MISDETECTIONS, "Detector errors by kind", labelnames=("kind",)
         ).labels(kind="false_collision").inc()
-    STATE.tracer.event(
+    tracer = STATE.tracer
+    if not tracer.sink.discards:
+        slot_event(
+            tracer,
+            record.index,
+            record.frame,
+            true_name,
+            detected_name,
+            record.n_responders,
+            record.duration,
+        )
+
+
+def slot_event(
+    tracer,
+    index: int,
+    frame: int,
+    true_type: str,
+    detected_type: str,
+    n_responders: int,
+    duration: float,
+) -> None:
+    """The ``slot`` trace event, shared by the per-slot and frame-batched
+    reader paths so both emit one schema."""
+    tracer.event(
         "slot",
-        index=record.index,
-        frame=record.frame,
-        true_type=true_name,
-        detected_type=detected_name,
-        n_responders=record.n_responders,
-        duration=record.duration,
+        index=index,
+        frame=frame,
+        true_type=true_type,
+        detected_type=detected_type,
+        n_responders=n_responders,
+        duration=duration,
     )
+
+
+#: ``3 * true + detected`` code -> ``repro_slots_total`` label values
+#: (``SlotType`` ints: IDLE=0, SINGLE=1, COLLIDED=2).
+_SLOT_LABELS = tuple(
+    (true, detected)
+    for true in ("IDLE", "SINGLE", "COLLIDED")
+    for detected in ("IDLE", "SINGLE", "COLLIDED")
+)
+#: ``3 * true + detected`` code -> ``kind`` label of a detector error.
+_MISDETECTION_KINDS = {
+    3 * 2 + 1: "missed_collision",
+    3 * 1 + 2: "false_collision",
+}
+
+
+def record_frame(
+    true_types: np.ndarray,
+    detected_types: np.ndarray,
+    identified: int,
+    lost: int,
+) -> None:
+    """The counters of :func:`record_slot`, for a whole batched frame.
+
+    ``true_types`` / ``detected_types`` hold one ``SlotType`` int per
+    slot; ``identified`` and ``lost`` are the frame's tag totals.  The
+    increments equal ``len(true_types)`` :func:`record_slot` calls (the
+    frame-batched path sees no captures), and label sets new to the
+    family are created in order of first appearance in the frame, where
+    the per-slot calls would have created them.  Emits no trace records.
+    """
+    reg = STATE.registry
+    slots = _slots_counter()
+    pairs = 3 * true_types + detected_types
+    tallies = np.bincount(pairs, minlength=9).tolist()
+    codes = [code for code, tally in enumerate(tallies) if tally]
+    new_codes = []
+    for code in codes:
+        child = slots.child(*_SLOT_LABELS[code])
+        if child is None:
+            new_codes.append(code)
+        else:
+            child.inc(tallies[code])
+    misses = [code for code in codes if code in _MISDETECTION_KINDS]
+    if len(new_codes) > 1 or len(misses) > 1:
+        first_slot = pairs.tolist().index
+        new_codes.sort(key=first_slot)
+        misses.sort(key=first_slot)
+    for code in new_codes:
+        true, detected = _SLOT_LABELS[code]
+        slots.labels(true_type=true, detected_type=detected).inc(
+            tallies[code]
+        )
+    for code in misses:
+        reg.counter(
+            MISDETECTIONS, "Detector errors by kind", labelnames=("kind",)
+        ).labels(kind=_MISDETECTION_KINDS[code]).inc(tallies[code])
+    if identified:
+        reg.counter(IDENTIFIED, "Tags successfully identified").inc(
+            identified
+        )
+    if lost:
+        reg.counter(LOST, "Tags lost to misdetection ('lost' policy)").inc(
+            lost
+        )
 
 
 def record_inventory(engine: str, frames: int, airtime: float) -> None:

@@ -260,6 +260,13 @@ class MetricFamily:
                     self._children[key] = child
         return child
 
+    def child(self, *labelvalues: str):
+        """The existing child for these label values (in ``labelnames``
+        order, as strings), or ``None`` -- a lookup that never creates,
+        for callers that must control the order children are created in.
+        """
+        return self._children.get(labelvalues)
+
     def _make_child(self):
         if self.type == "histogram":
             return Histogram(self.buckets)

@@ -52,7 +52,15 @@ _SPAN_IDS = itertools.count(1)
 
 
 class TraceSink:
-    """Sink interface: receives finished record dicts."""
+    """Sink interface: receives finished record dicts.
+
+    ``discards`` is a class-level promise that :meth:`emit` drops every
+    record unread.  Hot paths consult it to skip building records nobody
+    keeps (the Reader's per-slot ``slot`` events); spans still go out, so
+    the span tree's shape never depends on the sink.
+    """
+
+    discards = False
 
     def emit(self, record: dict[str, object]) -> None:
         raise NotImplementedError
@@ -63,6 +71,8 @@ class TraceSink:
 
 class NullSink(TraceSink):
     """Discards every record."""
+
+    discards = True
 
     def emit(self, record: dict[str, object]) -> None:
         pass

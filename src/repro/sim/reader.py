@@ -43,6 +43,7 @@ from repro.core.timing import TimingModel
 from repro.obs import instruments as _inst
 from repro.obs.profiling import profile
 from repro.obs.state import STATE as _OBS
+from repro.obs.tracing import Tracer
 from repro.protocols.base import AntiCollisionProtocol
 from repro.sim.metrics import InventoryStats
 from repro.sim.trace import SlotRecord
@@ -57,6 +58,7 @@ POLICIES = ("paper", "crc_guard", "lost")
 
 #: Int verdict -> SlotType, for the frame-batched path's int arrays.
 _SLOT_TYPES = (SlotType.IDLE, SlotType.SINGLE, SlotType.COLLIDED)
+_SLOT_NAMES = tuple(t.name for t in _SLOT_TYPES)
 
 
 @dataclass
@@ -90,13 +92,16 @@ class Reader:
     max_slots:
         Hard safety bound on inventory length (default ``10^7``).
     packed:
-        uint64 superposition fast path: instead of composing per-tag
-        :class:`BitVector` objects, each slot ORs packed ≤64-bit payloads
-        (``np.bitwise_or.reduce``).  ``None`` (default) auto-selects: the
-        fast path runs whenever the detector and channel support it *and*
-        neither tracing nor invariant checking is enabled (both need the
-        composed object signal).  ``True`` requires support (ValueError
-        otherwise) but still yields to enabled instrumentation; ``False``
+        Packed superposition fast path: instead of composing per-tag
+        :class:`BitVector` objects, each slot ORs integer payloads
+        (machine words up to 64 bits, Python ints above that, e.g. the
+        paper's 96-bit CRC-CD payload).  ``None`` (default)
+        auto-selects: the fast path runs whenever the detector and
+        channel support it and invariant checking is off (the checker
+        needs the composed object signal).  Enabled :mod:`repro.obs`
+        keeps the fast path: spans, slot events and counters match the
+        object path's.  ``True`` requires support (ValueError
+        otherwise) but still yields to invariant checking; ``False``
         always uses the object path.  Verdicts, RNG streams, and channel
         statistics are identical on both paths.
     frame_batched:
@@ -105,13 +110,13 @@ class Reader:
         (:meth:`~repro.protocols.base.AntiCollisionProtocol.frame_partition`),
         the reader superposes, classifies and timestamps every slot of
         the frame with numpy instead of looping slots in Python.  Subject
-        to the same gate as ``packed`` (so tracing/invariants, noisy
-        channels and unpacked detectors all fall back), and per-slot
-        fallback also covers tree protocols and any frame the protocol
-        declines to export.  ``False`` keeps the per-slot loop even when
-        batching is available (benchmarks and differential tests isolate
-        the tiers this way).  Traces are ``SlotRecord``-identical across
-        all three paths.
+        to the same gate as ``packed`` (so invariants, noisy channels and
+        unpacked detectors all fall back), and per-slot fallback also
+        covers tree protocols and any frame the protocol declines to
+        export.  ``False`` keeps the per-slot loop even when batching is
+        available (benchmarks and differential tests isolate the tiers
+        this way).  Traces are ``SlotRecord``-identical across all three
+        paths.
     """
 
     def __init__(
@@ -133,13 +138,14 @@ class Reader:
         self.max_slots = max_slots
         self.packed = packed
         self.frame_batched = frame_batched
-        #: Reusable uint64 payload arena for the frame-batched path,
-        #: grown geometrically and never shrunk.
+        #: Reusable payload arena for the frame-batched path (uint64 up
+        #: to 64-bit payloads, Python-int objects above), grown
+        #: geometrically and never shrunk.
         self._arena: np.ndarray | None = None
         if packed and not self._packed_supported():
             raise ValueError(
                 f"packed=True but {self.detector.name} / the channel "
-                "cannot run the uint64 path (detector.packed_bits is None "
+                "cannot run the packed path (detector.packed_bits is None "
                 "or the channel has noise/capture enabled)"
             )
         if policy == "crc_guard" and not self.timing.guard_id_phase:
@@ -156,14 +162,15 @@ class Reader:
     def _use_packed(self) -> bool:
         """Resolve the fast-path gate for one inventory.
 
-        Tracing and invariant checks observe the composed signal object,
-        so enabling either forces the object path regardless of
-        ``packed`` -- with identical slot verdicts, since both paths
-        consume the same RNG draws and compute the same superposition.
+        Invariant checks observe the composed signal object, so enabling
+        them forces the object path regardless of ``packed`` -- with
+        identical slot verdicts, since both paths consume the same RNG
+        draws and compute the same superposition.  Observability does
+        not: every path emits the same spans, events and counters.
         """
         if self.packed is False:
             return False
-        if _OBS.enabled or _INV.enabled:
+        if _INV.enabled:
             return False
         return self._packed_supported()
 
@@ -223,10 +230,10 @@ class Reader:
                     "(its start() takes no 'fresh' parameter); use "
                     "run_inventory() instead"
                 ) from exc
-        obs_on = _OBS.enabled
+        tracer = _OBS.tracer if _OBS.enabled else None
         packed = self._use_packed()
-        if obs_on:
-            _OBS.tracer.start_span(
+        if tracer is not None:
+            tracer.start_span(
                 "inventory",
                 engine="reader",
                 protocol=protocol.name,
@@ -235,9 +242,9 @@ class Reader:
                 n_tags=len(tags),
             )
         # Frame-granular batching rides on the packed gate (which already
-        # excludes tracing, invariants, noise and capture); the protocol
-        # opts in per frame by exporting its schedule, so tree protocols
-        # and mid-frame states fall back to the per-slot loop below.
+        # excludes invariants, noise and capture); the protocol opts in
+        # per frame by exporting its schedule, so tree protocols and
+        # mid-frame states fall back to the per-slot loop below.
         batch_frames = packed and self.frame_batched and protocol.framed
         current_frame = 0
         index = 0
@@ -250,10 +257,24 @@ class Reader:
                             partition is not None
                             and index + len(partition) <= self.max_slots
                         ):
+                            if tracer is not None:
+                                # A batched frame always starts a new
+                                # frame: close the per-slot one, if any.
+                                if current_frame:
+                                    tracer.end_span()
+                                current_frame = max(
+                                    1, protocol.frames_started
+                                )
+                                tracer.start_span(
+                                    "frame", frame=current_frame
+                                )
                             time, index = self._run_frame(
                                 index, time, protocol, partition,
-                                identified, lost, trace,
+                                identified, lost, trace, tracer,
                             )
+                            if tracer is not None:
+                                tracer.end_span()
+                                current_frame = 0
                             continue
                     if index >= self.max_slots:
                         raise RuntimeError(
@@ -261,12 +282,12 @@ class Reader:
                             f"({protocol.name} / {detector.name})"
                         )
                     responders = protocol.responders()
-                    if obs_on:
+                    if tracer is not None:
                         frame = max(1, protocol.frames_started)
                         if frame != current_frame:
                             if current_frame:
-                                _OBS.tracer.end_span()
-                            _OBS.tracer.start_span("frame", frame=frame)
+                                tracer.end_span()
+                            tracer.start_span("frame", frame=frame)
                             current_frame = frame
                     time, record = self._run_slot(
                         index, time, protocol, responders, identified, lost,
@@ -278,10 +299,10 @@ class Reader:
                     )
                     index += 1
         finally:
-            if obs_on:
+            if tracer is not None:
                 if current_frame:
-                    _OBS.tracer.end_span()
-                _OBS.tracer.end_span(
+                    tracer.end_span()
+                tracer.end_span(
                     slots=index, identified=len(identified), airtime=time
                 )
         stats = InventoryStats.from_trace(
@@ -301,7 +322,7 @@ class Reader:
                 lost,
                 complete=True,
             )
-        if obs_on:
+        if tracer is not None:
             _inst.record_inventory("reader", stats.frames, stats.total_time)
         return InventoryResult(
             trace=trace, stats=stats, identified_ids=identified, lost_ids=lost
@@ -318,6 +339,7 @@ class Reader:
         identified: list[int],
         lost: list[int],
         trace: list[SlotRecord],
+        tracer: Tracer | None,
     ) -> tuple[float, int]:
         """One whole frame through the vectorized fast path.
 
@@ -339,7 +361,10 @@ class Reader:
         arena = self._arena
         if arena is None or len(arena) < total:
             grown = 1024 if arena is None else 2 * len(arena)
-            arena = self._arena = np.empty(max(total, grown), np.uint64)
+            arena = self._arena = np.empty(
+                max(total, grown),
+                np.uint64 if detector.packed_bits <= 64 else object,
+            )
         payload = detector.contention_payload_packed
         arena[:total] = [
             payload(tag.tag_id, tag.rng)
@@ -370,6 +395,7 @@ class Reader:
         gained = np.zeros(frame_size, dtype=np.intp)
         identified_tags: list[int | None] = [None] * frame_size
         lost_counts = [0] * frame_size
+        lost_total = 0
         for slot in true_single_slots.tolist():
             tag = partition[slot][0]
             tag.mark_identified(end_times[slot])
@@ -388,6 +414,7 @@ class Reader:
                     lost.append(tag.tag_id)
                 lost_counts[slot] = len(bucket)
                 gained[slot] = len(bucket)
+                lost_total += len(bucket)
         remaining = total - np.cumsum(gained)
 
         true_types = np.minimum(counts, 2)
@@ -435,6 +462,19 @@ class Reader:
             )
             append(record)
             slot_index += 1
+        if tracer is not None:
+            _inst.record_frame(
+                true_types, detected, len(true_single_slots), lost_total
+            )
+            if not tracer.sink.discards:
+                for i, (n_resp, true, det, duration) in enumerate(
+                    zip(counts_list, true_list, detected_list, durations),
+                    index,
+                ):
+                    _inst.slot_event(
+                        tracer, i, frame_no, _SLOT_NAMES[true],
+                        _SLOT_NAMES[det], n_resp, duration,
+                    )
         return end_times[-1], index + frame_size
 
     def _run_slot(
@@ -449,7 +489,7 @@ class Reader:
     ) -> tuple[float, SlotRecord]:
         detector = self.detector
         if packed:
-            # uint64 fast path: packed payloads, machine-word OR, integer
+            # Packed fast path: integer payloads, integer OR, integer
             # classification.  Same RNG draws, same verdicts, same channel
             # statistics as the object path below.
             values = [

@@ -470,6 +470,7 @@ def _batch_reader(ctx: OracleContext) -> list[Check]:
     rounds = max(3, min(ctx.rounds, 8))
     base = ctx.seed * 1_000_003 + _stable_hash("batch-reader")
     timing32 = TimingModel(id_bits=32)
+    timing64 = TimingModel(id_bits=64)
     configs = (
         ("fsa_qcd8", lambda: FramedSlottedAloha(16),
          lambda: QCDDetector(8), "paper", ctx.timing, 37),
@@ -477,9 +478,14 @@ def _batch_reader(ctx: OracleContext) -> list[Check]:
          lambda: QCDDetector(2), "lost", ctx.timing, 29),
         ("dfsa_qcd8", lambda: DynamicFSA(initial_frame_size=8),
          lambda: QCDDetector(8), "paper", ctx.timing, 37),
-        # CRC-CD packs id ⊕ crc(id); 32-bit IDs keep it in one word.
+        # CRC-CD packs id ⊕ crc(id): in one machine word at 32-bit IDs,
+        # as Python ints in the paper's 64-bit ID + CRC-32 layout.
         ("dfsa_crc", lambda: DynamicFSA(initial_frame_size=8),
          lambda: CRCCDDetector(id_bits=32), "paper", timing32, 23),
+        ("fsa_crc64", lambda: FramedSlottedAloha(16),
+         lambda: CRCCDDetector(id_bits=64), "paper", timing64, 37),
+        ("dfsa_crc64_lost", lambda: DynamicFSA(initial_frame_size=8),
+         lambda: CRCCDDetector(id_bits=64), "lost", timing64, 29),
     )
     checks = []
     for c_i, (label, proto, det, policy, timing, n) in enumerate(configs):

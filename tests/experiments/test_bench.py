@@ -38,8 +38,19 @@ class TestRunBench:
             "packed_speedup",
             "batched_speedup",
             "batched_speedup_vs_packed",
+            "crc_object_ms",
+            "crc_batched_ms",
+            "crc_batched_speedup",
+            "obs_batched_ms",
+            "obs_batched_ratio",
             "tree",
         }
+        assert reader["crc_batched_speedup"] == pytest.approx(
+            reader["crc_object_ms"] / reader["crc_batched_ms"]
+        )
+        assert reader["obs_batched_ratio"] == pytest.approx(
+            reader["obs_batched_ms"] / reader["batched_ms"]
+        )
         assert set(reader["tree"]) == {"n", "bt", "qt"}
         assert reader["tree"]["n"] == TINY["reader_tags"]
         for name in ("bt", "qt"):
@@ -51,6 +62,15 @@ class TestRunBench:
         assert reader["packed_speedup"] > 0
         assert reader["batched_speedup"] > 0
         assert report["config"]["frozen_measured"] is False
+
+    def test_obs_runs_leave_caller_registry_untouched(self):
+        from repro import obs
+
+        obs.disable()
+        obs.reset()
+        run_bench(**TINY)
+        assert not obs.is_enabled()
+        assert obs.STATE.registry.to_dict() == {}
 
     def test_frozen_engines_measured_when_module_given(self):
         import sys
@@ -150,6 +170,26 @@ class TestGate:
         report = self._report()
         report["reader"]["tree"] = {"n": 300, "qt": {"tree_scaling": 5.0}}
         baseline = {"reader": {"tree": {"n": 300, "qt": {"tree_scaling": 4.2}}}}
+        assert check_reader_against_baseline(report, baseline, 0.25) == []
+
+    def test_reader_gate_flags_crc_batched_regression(self):
+        report = self._report()
+        report["reader"]["crc_batched_speedup"] = 1.2
+        baseline = {"reader": {"crc_batched_speedup": 2.0}}
+        problems = check_reader_against_baseline(report, baseline, 0.25)
+        assert any("CRC-CD frame-batched speedup" in p for p in problems)
+
+    def test_reader_gate_flags_obs_ratio_growth(self):
+        report = self._report()
+        report["reader"]["obs_batched_ratio"] = 2.2
+        baseline = {"reader": {"obs_batched_ratio": 1.02}}
+        problems = check_reader_against_baseline(report, baseline, 0.25)
+        assert any("obs-on/obs-off" in p for p in problems)
+
+    def test_reader_gate_tolerates_obs_ratio_drift(self):
+        report = self._report()
+        report["reader"]["obs_batched_ratio"] = 1.1
+        baseline = {"reader": {"obs_batched_ratio": 1.02}}
         assert check_reader_against_baseline(report, baseline, 0.25) == []
 
     def test_reader_gate_skips_ratios_missing_on_either_side(self):
